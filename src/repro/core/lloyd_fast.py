@@ -2,20 +2,11 @@
 
 The reference Lloyd loop recomputes all ``n * k`` point-center distances
 every iteration, yet after the first few iterations almost no point
-changes its cluster.  Hamerly's observation (adapted here to the squared-
-Euclidean kernels of :mod:`repro.linalg`): maintain, per point,
-
-* ``ub[i]`` — an upper bound on the distance to its assigned center, and
-* ``lb[i]`` — a lower bound on the distance to its *second*-closest
-  center,
-
-and, per center, the distance it *drifted* during the last update.  After
-an update, ``ub += drift[assigned]`` and ``lb -= max(drift)`` keep both
-bounds valid without touching the data.  A point whose
-``ub < max(lb, s/2)`` (where ``s`` is the distance from its center to the
-nearest other center) provably cannot switch clusters, so the full
-``k``-wide distance row is computed only for the points that fail the
-test — typically a tiny, shrinking fraction.
+changes its cluster.  This loop keeps Hamerly's per-point bounds
+(:mod:`repro.linalg.bounds`, shared with the MapReduce Lloyd mapper and
+the serving path) and computes the full ``k``-wide distance row only for
+the points the bounds cannot decide — typically a tiny, shrinking
+fraction.
 
 Contract with the reference path (:func:`repro.core.lloyd._lloyd_reference`):
 
@@ -50,112 +41,18 @@ import numpy as np
 
 from repro.core.lloyd import LloydResult, _repair_empties
 from repro.exceptions import ConvergenceWarning
-from repro.linalg.centroids import weighted_centroids
-from repro.linalg.distances import (
-    _row_scratch,
-    assign_labels,
-    block_sq_dists,
-    row_norms_sq,
+from repro.linalg.bounds import (
+    assign_bounds,
+    center_drift,
+    d2_to_assigned,
+    expansion_slack,
+    refresh_bounds,
 )
-from repro.linalg.engine import get_engine
+from repro.linalg.centroids import weighted_centroids
+from repro.linalg.distances import assign_labels, row_norms_sq
 from repro.types import FloatArray
 
-__all__ = ["lloyd_hamerly", "expansion_slack", "half_min_center_dist"]
-
-
-def expansion_slack(x_norms, c_norms, d, dtype) -> float:
-    """Round-off allowance for one GEMM-expansion squared distance.
-
-    ``||x||^2 - 2<x,c> + ||c||^2`` loses up to ``O(d * eps * scale^2)``
-    to cancellation. The bounds below are *padded* by this slack (upper
-    bounds up, lower bounds down) so a skip decision is never taken on a
-    margin smaller than what round-off could fake; points inside the
-    slack band fall through to the exact argmin, which preserves the
-    reference labels even on cancellation-dominated data.
-    """
-    eps = float(np.finfo(dtype).eps)
-    scale = float(x_norms.max(initial=0.0)) + float(c_norms.max(initial=0.0))
-    return 4.0 * eps * (d + 4.0) * scale
-
-
-def _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None):
-    """Exact assignment of all rows (``rows=None``) or an index subset,
-    filling the Hamerly bounds.
-
-    Identical arithmetic (and therefore identical labels) to
-    :func:`~repro.linalg.distances.assign_labels`; additionally records
-    the distance to the winner (``ub``, padded up by ``slack``) and to
-    the runner-up (``lb``, padded down).
-    """
-    n = Xw.shape[0] if rows is None else rows.shape[0]
-    k = Cw.shape[0]
-
-    def work(sl: slice) -> None:
-        idxs = sl if rows is None else rows[sl]
-        block = Xw[idxs]
-        d2 = block_sq_dists(block, Cw, x_norms[idxs], c_norms)
-        idx = d2.argmin(axis=1)
-        labels[idxs] = idx
-        best = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
-        ub[idxs] = np.sqrt(best + slack)
-        if k >= 2:
-            second = np.partition(d2, 1, axis=1)[:, 1]
-            lb[idxs] = np.sqrt(np.maximum(second - slack, 0.0))
-        else:
-            lb[idxs] = np.inf
-
-    get_engine().run_chunks(n, _row_scratch(k), work)
-    return n * k
-
-
-def _tighten_upper_bounds(cand, Xw, Cw, x_norms, c_norms, labels, ub, slack):
-    """Replace drifted ``ub`` with the exact current distance, chunked."""
-    d = Xw.shape[1]
-
-    def work(sl: slice) -> None:
-        idxs = cand[sl]
-        block = Xw[idxs]
-        lab = labels[idxs]
-        g = Cw[lab]
-        d2c = x_norms[idxs] - 2.0 * np.einsum("ij,ij->i", block, g) + c_norms[lab]
-        np.maximum(d2c, 0.0, out=d2c)
-        ub[idxs] = np.sqrt(d2c + slack)
-
-    # Scratch per row: the gathered center row + the point row copy.
-    get_engine().run_chunks(cand.shape[0], 16 * max(1, d), work)
-    return cand.shape[0]
-
-
-def _d2_to_assigned(Xw, Cw, labels, x_norms, c_norms):
-    """Exact squared distance of every point to its *assigned* center.
-
-    O(nd) — one gathered row-dot per point instead of the O(nkd) block —
-    used to track the potential without recomputing the assignment.
-    """
-    n, d = Xw.shape
-    out = np.empty(n, dtype=np.float64)
-
-    def work(sl: slice) -> None:
-        block = Xw[sl]
-        lab = labels[sl]
-        g = Cw[lab]
-        v = x_norms[sl] - 2.0 * np.einsum("ij,ij->i", block, g) + c_norms[lab]
-        out[sl] = np.maximum(v, 0.0)
-
-    # Scratch per row: the gathered center row + the einsum accumulator.
-    get_engine().run_chunks(n, 16 * max(1, d), work)
-    return out
-
-
-def half_min_center_dist(Cw, c_norms, slack) -> np.ndarray:
-    """``0.5 * min_{j' != j} ||c_j - c_j'||`` per center, padded down (inf for k=1)."""
-    k = Cw.shape[0]
-    if k < 2:
-        return np.full(k, np.inf)
-    d2 = c_norms[:, None] - 2.0 * (Cw @ Cw.T) + c_norms[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    return 0.5 * np.sqrt(np.maximum(d2.min(axis=1) - slack, 0.0))
+__all__ = ["lloyd_hamerly"]
 
 
 def lloyd_hamerly(
@@ -223,35 +120,18 @@ def lloyd_hamerly(
         if exact_profile:
             labels, d2a = assign(centers)
         elif not bounds_valid:
-            n_dist += _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack)
+            n_dist += assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack)
             bounds_valid = True
         else:
             # Drift the bounds instead of touching the data.
-            ub += drift[labels]
-            lb -= drift.max(initial=0.0)
-            s_half = half_min_center_dist(Cw, c_norms, slack)
-            n_dist += Cw.shape[0] * Cw.shape[0]
-            limit = np.maximum(lb, s_half[labels])
-            # Strict inequality: a tie (or anything within the round-off
-            # slack baked into the bounds) must fall through to the exact
-            # argmin so the reference lowest-index tie-break is preserved.
-            cand = np.flatnonzero(ub >= limit)
-            if cand.size:
-                # First tighten ub to the exact current distance — that
-                # alone clears most candidates for one distance each.
-                n_dist += _tighten_upper_bounds(
-                    cand, Xw, Cw, x_norms, c_norms, labels, ub, slack
-                )
-                still = cand[ub[cand] >= limit[cand]]
-                if still.size:
-                    n_dist += _assign_bounds(
-                        Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=still
-                    )
+            n_dist += refresh_bounds(
+                Xw, Cw, x_norms, c_norms, labels, ub, lb, drift, slack
+            )
         assign_centers = centers
         repaired_d2 = None
 
         if not exact_profile:
-            d2a = _d2_to_assigned(Xw, Cw, labels, x_norms, c_norms)
+            d2a = d2_to_assigned(Xw, Cw, labels, x_norms, c_norms)
             n_dist += n
         cost_history.append(float(np.dot(d2a, w)))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
@@ -290,21 +170,10 @@ def lloyd_hamerly(
                 "ij,ij->i", new_centers - centers, new_centers - centers
             )
             shift_sq = float(np.max(move_sq))
-            # Padded up a hair: drift must never under-state a center's
-            # movement or the drifted bounds stop being bounds. In a
-            # narrower working dtype, measure the movement between the
-            # *cast* center sets — the ones the kernels actually measure
-            # distances to — since the float64 movement can under-state
-            # it by the cast error.
-            if wdt == np.float64:
-                drift = np.sqrt(move_sq) * (1.0 + 1e-12)
-            else:
-                cast_diff = np.ascontiguousarray(new_centers, dtype=wdt).astype(
-                    np.float64
-                ) - Cw.astype(np.float64)
-                drift = np.sqrt(
-                    np.einsum("ij,ij->i", cast_diff, cast_diff)
-                ) * (1.0 + 1e-12)
+            # In a narrower working dtype the float64 movement can
+            # under-state the movement of the *cast* centers the kernels
+            # measure distances to, so drift is taken between those.
+            drift = center_drift(np.ascontiguousarray(new_centers, dtype=wdt), Cw)
         else:  # "drop" changed k; cannot compare shapes
             shift_sq = np.inf
             drift = None

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.linalg import sparse as _sparse
 from repro.linalg.engine import get_engine
-from repro.utils.chunking import DEFAULT_CHUNK_BYTES
 
 __all__ = ["cluster_sums", "cluster_sizes", "weighted_centroids"]
 
@@ -21,8 +20,10 @@ __all__ = ["cluster_sums", "cluster_sizes", "weighted_centroids"]
 #: rounding of the centroids) depends on the block boundaries, and a
 #: reproduction harness must produce the same centroids whatever
 #: REPRO_ENGINE_CHUNK_BYTES / --chunk-mib the operator picked. Worker
-#: count stays free — blocks fold in chunk order either way.
-_SUMS_CHUNK_BYTES = DEFAULT_CHUNK_BYTES
+#: count stays free — blocks fold in chunk order either way.  A literal,
+#: not the engine default, so retuning that default cannot move a
+#: centroid bit.
+_SUMS_CHUNK_BYTES = 32 * 1024 * 1024
 
 
 def cluster_sums(

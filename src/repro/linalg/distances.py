@@ -44,6 +44,7 @@ __all__ = [
     "update_min_sq_dists_argmin",
     "assign_labels",
     "block_sq_dists",
+    "expand_gemm",
     "row_norms_sq",
 ]
 
@@ -120,9 +121,30 @@ def block_sq_dists(
     """
     if _sparse.is_sparse(block):
         return _sparse.sparse_block_sq_dists(block, C, x_norms_sq, c_norms_sq)
-    d2 = x_norms_sq[:, None] - 2.0 * (block @ C.T) + c_norms_sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return expand_gemm(block @ C.T, x_norms_sq, c_norms_sq)
+
+
+def expand_gemm(
+    G: np.ndarray, x_norms_sq: np.ndarray, c_norms_sq: np.ndarray
+) -> np.ndarray:
+    """``x_norms_sq[:, None] - 2 G + c_norms_sq``, clamped at 0, built in
+    place on the GEMM output ``G`` (which the caller gives up).
+
+    One ``(n, k)`` allocation instead of the four temporaries the
+    expression makes, and bitwise equal to it: doubling is exact,
+    negation is exact, and IEEE addition is commutative, so
+    ``(-2G + xn) + cn`` rounds exactly like ``(xn - 2G) + cn``.  Every
+    entry depends only on its own ``G`` entry and norms, so expanding a
+    row subset of ``G`` gives those rows' bits of the full expansion.
+    """
+    dt = np.result_type(G, x_norms_sq, c_norms_sq)
+    if G.dtype != dt:  # wider norms than operands: widen like the expression
+        G = G.astype(dt)
+    G *= -2.0
+    G += x_norms_sq[:, None]
+    G += c_norms_sq
+    np.maximum(G, 0.0, out=G)
+    return G
 
 
 def pairwise_sq_dists(
@@ -329,7 +351,7 @@ def update_min_sq_dists_argmin(
         xn = row_norms_sq(block) if norms is None else norms[sl]
         d2 = block_sq_dists(block, new_centers, xn, c_norms_sq)
         idx = d2.argmin(axis=1)
-        best_new = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
+        best_new = d2[np.arange(idx.shape[0]), idx]
         # Slices are views: writing through `cur`/`near` updates the
         # caller's arrays directly.
         cur = current[sl]
@@ -378,7 +400,7 @@ def assign_labels(
         idx = d2.argmin(axis=1)
         labels[sl] = idx
         if best is not None:
-            best[sl] = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
+            best[sl] = d2[np.arange(idx.shape[0]), idx]
 
     get_engine().run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
     if best is not None:

@@ -40,7 +40,7 @@ Identity contract (pinned by ``tests/properties/test_sparse_identity``)
   entries in index order, while BLAS GEMM is free to use any blocking /
   pairwise order.  Both land within :func:`sparse_d2_slack` of the
   exact value — the same ``O(d * eps * scale^2)`` cancellation bound
-  the accelerated Lloyd uses (:func:`repro.core.lloyd_fast.
+  the Hamerly bounds use (:data:`repro.linalg.bounds.
   expansion_slack`).  Consequences, and what callers may rely on:
 
   - squared distances (and hence costs/potentials) agree with the
@@ -159,13 +159,12 @@ def _as_working_sparse(X, C: np.ndarray):
 def sparse_d2_slack(x_norms_sq, c_norms_sq, d: int, dtype) -> float:
     """Round-off allowance of one expansion squared distance, either path.
 
-    The same ``4 * eps * (d + 4) * scale`` cancellation bound as
-    :func:`repro.core.lloyd_fast.expansion_slack` (restated here so the
-    linalg layer does not import the core layer): it covers any
-    summation order of the ``d``-term cross product, so it bounds both
-    BLAS GEMM and CSR SpMM — and therefore their disagreement.  This is
-    the documented tolerance contract between the sparse and dense
-    distance kernels.
+    The same ``4 * eps * (d + 4) * scale`` cancellation bound pads the
+    Hamerly bounds (:data:`repro.linalg.bounds.expansion_slack` is this
+    function): it covers any summation order of the ``d``-term cross
+    product, so it bounds both BLAS GEMM and CSR SpMM — and therefore
+    their disagreement.  This is the documented tolerance contract
+    between the sparse and dense distance kernels.
     """
     eps = float(np.finfo(dtype).eps)
     scale = float(np.max(x_norms_sq, initial=0.0)) + float(

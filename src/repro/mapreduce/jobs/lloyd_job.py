@@ -15,6 +15,14 @@ Two granularities are supported:
   relies on the combiner, as in textbook Hadoop; shuffle volume without a
   combiner is ``O(n * d)``. The combiner-ablation bench uses this mode to
   measure exactly how many bytes the combiner saves.
+
+Dense splits keep Hamerly bounds (:mod:`repro.linalg.bounds`) in their
+resident state between rounds, so after the first round a mapper computes
+full ``k``-wide distance rows only for the points the bounds cannot
+decide.  Labels — and therefore centers — are bitwise those of a full
+``assign_labels`` pass; the partial potential is always summed from the
+distance to the assigned center, so it is the same whether the bounds
+were used, rebuilt, or lost.
 """
 
 from __future__ import annotations
@@ -26,8 +34,15 @@ import numpy as np
 
 from repro.exceptions import JobSpecError
 from repro.linalg import sparse as _sparse
+from repro.linalg.bounds import (
+    assign_bounds,
+    center_drift,
+    d2_to_assigned,
+    expansion_slack,
+    refresh_bounds,
+)
 from repro.linalg.centroids import cluster_sizes, cluster_sums
-from repro.linalg.distances import assign_labels, row_norms_sq
+from repro.linalg.distances import _as_working, assign_labels, row_norms_sq
 from repro.mapreduce.job import BlockMapper, KeyValue, MapReduceJob, Reducer
 from repro.mapreduce.jobs.common import FLOPS_PER_DIST, ScalarSumReducer
 
@@ -38,10 +53,20 @@ __all__ = [
     "AGG_KEY",
     "PHI_KEY",
     "STATE_NORMS",
+    "STATE_LABELS",
+    "STATE_UB",
+    "STATE_LB",
+    "STATE_CENTERS",
 ]
 
 #: Split-state key caching the split's ``||x||^2`` rows across jobs.
 STATE_NORMS = "lloyd-x-norms-sq"
+#: Split-state keys of the Hamerly bound state (dense splits): per-row
+#: label, upper bound and lower bound, and the centers they refer to.
+STATE_LABELS = "lloyd-labels"
+STATE_UB = "lloyd-ub"
+STATE_LB = "lloyd-lb"
+STATE_CENTERS = "lloyd-centers"
 
 #: Output key prefix of per-cluster aggregates.
 AGG_KEY = "agg"
@@ -57,7 +82,14 @@ class LloydMapper(BlockMapper):
     The split's ``||x||^2`` rows are cached in the per-split state (the
     runtime's RDD-caching model, same mechanism the cost job uses for its
     ``d^2`` profile), so the driver's one-job-per-Lloyd-round loop pays
-    the O(nd) norm pass once per split, not once per round.
+    the O(nd) norm pass once per split, not once per round.  Dense
+    splits also keep their Hamerly bound state there (see
+    :meth:`_assign_dense`).
+
+    ``work`` charges the paper's nominal ``n * k * d`` distance work
+    whatever the bounds skipped, so the simulated clock is unchanged;
+    the ``("lloyd", "dist_evals")`` counter reports the point-center
+    distance evaluations actually performed.
     """
 
     def __init__(self, centers: np.ndarray | None = None, granularity: str = "split"):
@@ -88,16 +120,21 @@ class LloydMapper(BlockMapper):
 
     def map_block(self, block: np.ndarray) -> Iterable[KeyValue]:
         k = self.centers.shape[0]
-        norms = None
-        if self.ctx is not None:
-            norms = self.ctx.state.get(STATE_NORMS)
-            if norms is None or norms.shape[0] != block.shape[0]:
-                norms = row_norms_sq(block)
-                self.ctx.state[STATE_NORMS] = norms
-        labels, d2 = assign_labels(
-            block, self.centers, x_norms_sq=norms, return_sq_dists=True
-        )
+        state = {} if self.ctx is None else self.ctx.state
+        norms = state.get(STATE_NORMS)
+        if norms is None or norms.shape[0] != block.shape[0]:
+            norms = row_norms_sq(block)
+            state[STATE_NORMS] = norms
+        if _sparse.is_sparse(block):
+            labels, d2 = assign_labels(
+                block, self.centers, x_norms_sq=norms, return_sq_dists=True
+            )
+            n_dist = block.shape[0] * k
+        else:
+            labels, d2, n_dist = self._assign_dense(block, norms, state)
         self.work += block.shape[0] * k * block.shape[1] * FLOPS_PER_DIST
+        if self.ctx is not None:
+            self.ctx.counters.increment("lloyd", "dist_evals", n_dist)
         yield PHI_KEY, float(d2.sum())
         if self.granularity == "split":
             sums = cluster_sums(block, labels, k)
@@ -112,6 +149,62 @@ class LloydMapper(BlockMapper):
             for i, j in enumerate(labels):
                 x = _sparse.densify_rows(block[i : i + 1])[0]
                 yield (AGG_KEY, int(j)), np.concatenate([x, [1.0]])
+
+    def _assign_dense(self, block, norms, state):
+        """Labels, distance to the assigned center, evaluations performed.
+
+        With a bound state for this split's rows and the same number of
+        centers, drift it by the center shift and refresh it
+        (:func:`~repro.linalg.bounds.refresh_bounds`); otherwise (first
+        round, lost state, changed shapes) fill it with one full
+        assignment.  The labels are bitwise those of ``assign_labels``
+        either way.
+
+        Twin attempts of a task (speculation) share resident state
+        segments, so the state is copied in, computed on privately and
+        written back in place at the end, the stored centers poisoned
+        with NaN meanwhile.  A reader whose centers read changes while
+        it copies has overlapped a write-back and starts cold.
+        """
+        n = block.shape[0]
+        Xw, Cw = _as_working(block, self.centers)
+        c_norms = row_norms_sq(Cw)
+        # Norms cached from a narrower float block carry its round-off.
+        eps_dt = Xw.dtype
+        if norms.dtype.kind == "f" and np.finfo(norms.dtype).eps > np.finfo(eps_dt).eps:
+            eps_dt = norms.dtype
+        slack = expansion_slack(norms, c_norms, Xw.shape[1], eps_dt)
+        prev = state.get(STATE_CENTERS)
+        rows = [state.get(key) for key in (STATE_LABELS, STATE_UB, STATE_LB)]
+        warm = (
+            isinstance(prev, np.ndarray)
+            and prev.shape == Cw.shape
+            and prev.dtype == Cw.dtype
+            and all(isinstance(a, np.ndarray) and a.shape == (n,) for a in rows)
+        )
+        if warm:
+            seen = prev.copy()
+            labels, ub, lb = (a.copy() for a in rows)
+            warm = np.array_equal(seen, prev)  # False on NaN poison, too
+        if warm:
+            n_dist = refresh_bounds(
+                Xw, Cw, norms, c_norms, labels, ub, lb, center_drift(Cw, seen), slack
+            )
+            prev[...] = np.nan
+            for target, value in zip(rows, (labels, ub, lb)):
+                target[...] = value
+            prev[...] = Cw
+        else:
+            labels = np.empty(n, dtype=np.int64)
+            ub = np.empty(n, dtype=np.float64)
+            lb = np.empty(n, dtype=np.float64)
+            n_dist = assign_bounds(Xw, Cw, norms, c_norms, labels, ub, lb, slack)
+            state.update({
+                STATE_LABELS: labels, STATE_UB: ub, STATE_LB: lb,
+                STATE_CENTERS: Cw.copy(),
+            })
+        d2 = d2_to_assigned(Xw, Cw, labels, norms, c_norms)
+        return labels, d2, n_dist + n
 
 
 class SumCountReducer(Reducer):

@@ -14,7 +14,7 @@ while staying **bit-identical** to the naive argmin:
 3. the candidate is *accepted* only when provably the strict unique
    nearest under round-off padding — via the in-group gap, the
    cross-group triangle bound, and Hamerly's center-separation test
-   (``d(x, c) < s/2``) reused from :mod:`repro.core.lloyd_fast`;
+   (``d(x, c) < s/2``) reused from :mod:`repro.linalg.bounds`;
 4. every point the bounds cannot decide falls through to a full
    ``k``-wide row computed with the *same arithmetic* as the reference
    kernel (:func:`~repro.linalg.distances.block_sq_dists` on a row
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.lloyd_fast import expansion_slack
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
+from repro.linalg.bounds import expansion_slack
 from repro.linalg.distances import (
     _as_working,
     _row_scratch,

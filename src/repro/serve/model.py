@@ -12,7 +12,7 @@ ready to answer "which cluster is this point in?" at serving rates:
   without coordinating with readers;
 * the **pruning geometry** — center norms, center-to-center
   half-distances (the Hamerly separation bound from
-  :mod:`repro.core.lloyd_fast`), and a two-level group index over the
+  :mod:`repro.linalg.bounds`), and a two-level group index over the
   centers (representatives + radii for triangle-inequality pruning) — is
   precomputed per working dtype so the per-query cost is one small GEMM
   against ~sqrt(k) representatives plus the few full rows the bounds
@@ -30,8 +30,8 @@ import threading
 
 import numpy as np
 
-from repro.core.lloyd_fast import expansion_slack, half_min_center_dist
 from repro.exceptions import ValidationError
+from repro.linalg.bounds import expansion_slack, half_min_center_dist
 from repro.linalg.distances import block_sq_dists, row_norms_sq
 from repro.plane.broadcast import (
     BroadcastRef,
@@ -76,7 +76,7 @@ class PruneIndex:
     s_half_lo:
         Per center, a lower bound on half the distance to the nearest
         *other* center — Hamerly's separation test, reused verbatim from
-        :func:`repro.core.lloyd_fast.half_min_center_dist`.
+        :func:`repro.linalg.bounds.half_min_center_dist`.
     """
 
     __slots__ = (

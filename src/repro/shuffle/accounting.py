@@ -35,6 +35,11 @@ __all__ = ["estimate_nbytes", "record_nbytes"]
 #: Framing charged per record / container slot (length prefix + tag).
 FRAME_BYTES = 8
 
+#: Exact builtin scalar types charged a flat word.  Checked by ``type``
+#: before any other probe: record keys are mostly such scalars, and the
+#: scipy sparse probe below is far slower than a ``type`` lookup.
+_WORD_TYPES = frozenset({int, float, bool, type(None)})
+
 
 def estimate_nbytes(value: Any) -> int:
     """Rough serialized size of an emitted value, for shuffle accounting.
@@ -44,6 +49,11 @@ def estimate_nbytes(value: Any) -> int:
     dict = header + (framing + key + value) per entry; anything else
     (int / float / bool / None) = 8.
     """
+    kind = type(value)
+    if kind in _WORD_TYPES:
+        return 8
+    if kind is str:
+        return len(value.encode())
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if _sparse.is_sparse(value):

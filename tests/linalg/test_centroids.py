@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.linalg import centroids
 from repro.linalg.centroids import cluster_sizes, cluster_sums, weighted_centroids
+from repro.linalg.engine import Engine, use_engine
 
 
 class TestClusterSums:
@@ -28,6 +30,19 @@ class TestClusterSums:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             cluster_sums(np.ones((2, 2)), np.array([0, 5]), 2)
+
+    def test_fold_blocks_do_not_follow_the_engine_budget(self):
+        # The fold's block size is its own literal, not the engine
+        # default: retuning the engine's chunk budget (or its default)
+        # must not move a centroid bit.
+        assert centroids._SUMS_CHUNK_BYTES == 32 * 1024 * 1024
+        gen = np.random.default_rng(3)
+        X = gen.normal(size=(5000, 7)) * 1e3
+        labels = gen.integers(0, 4, size=5000)
+        want = cluster_sums(X, labels, 4)
+        with use_engine(Engine(workers=1, chunk_bytes=1024)):
+            got = cluster_sums(X, labels, 4)
+        assert got.tobytes() == want.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="labels length"):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,16 @@ from repro.exceptions import MapReduceError
 from repro.linalg.centroids import cluster_sizes
 from repro.linalg.distances import assign_labels
 from repro.mapreduce.jobs.cost_job import PHI_KEY, make_cost_job
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import SplitContext
+from repro.mapreduce.jobs.common import FLOPS_PER_DIST
 from repro.mapreduce.jobs.lloyd_job import (
     PHI_KEY as LLOYD_PHI,
+    STATE_CENTERS,
+    STATE_LABELS,
+    STATE_LB,
+    STATE_UB,
+    LloydMapper,
     collect_new_centers,
     make_lloyd_job,
 )
@@ -23,6 +34,17 @@ from repro.mapreduce.jobs.weight_job import (
     make_weight_job,
 )
 from repro.mapreduce.runtime import LocalMapReduceRuntime
+
+
+class ColdLloydMapper(LloydMapper):
+    """Drops the split's bound state before assigning: every round is a
+    full assignment.  Dropped inside the task, so lineage replay after a
+    lost task drops it again."""
+
+    def map_block(self, block):
+        for key in (STATE_LABELS, STATE_UB, STATE_LB, STATE_CENTERS):
+            self.ctx.state.pop(key, None)
+        return super().map_block(block)
 
 
 @pytest.fixture
@@ -181,6 +203,63 @@ class TestLloydJob:
         ch, _ = collect_new_centers(heavy.output, centers)
         np.testing.assert_allclose(cl, ch, atol=1e-9)
         assert heavy.stats.shuffle_bytes > light.stats.shuffle_bytes
+
+    def test_dist_evals_counter_and_nominal_work(self, blobs):
+        """``work`` charges the paper's n*k*d whatever the bounds skip;
+        the counter reports the distance evaluations actually made."""
+        X, true_centers = blobs
+        n, d = X.shape
+        k = true_centers.shape[0]
+        state: dict = {}
+
+        def one_round(centers):
+            counters = Counters()
+            mapper = LloydMapper(centers)
+            rng = np.random.default_rng(0)
+            mapper.setup(SplitContext(0, 1, rng, state, counters))
+            out = dict(mapper.map_block(X))
+            return mapper.work, counters.as_dict()["lloyd"]["dist_evals"], out
+
+        work, evals, out = one_round(true_centers)
+        assert work == n * k * d * FLOPS_PER_DIST
+        assert evals == n * k + n  # full rows + the distance to the label
+        np.testing.assert_array_equal(state[STATE_LABELS], assign_labels(X, true_centers))
+        # A tiny shift of well-separated centers: the bounds decide every
+        # row, leaving the k*k center pass and the n-row potential.
+        work, evals, out = one_round(true_centers + 1e-3)
+        assert work == n * k * d * FLOPS_PER_DIST
+        assert evals == k * k + n
+        assert out[LLOYD_PHI] == pytest.approx(potential(X, true_centers + 1e-3))
+
+    def test_bound_state_changes_no_output_or_simulated_time(self, blobs):
+        """Dropping the bound state before every round (a full assignment
+        each time) gives the same bits and the same simulated clock."""
+        X, _ = blobs
+        runs = {}
+        for drop in (False, True):
+            rt = LocalMapReduceRuntime(X, n_splits=3, seed=0)
+            centers = X[[0, 70, 140, 200, 260]].copy()
+            evals = []
+            for _ in range(4):
+                job = make_lloyd_job(centers)
+                if drop:
+                    job = dataclasses.replace(
+                        job, mapper_factory=functools.partial(ColdLloydMapper)
+                    )
+                result = rt.run_job(job)
+                centers, phi = collect_new_centers(result.output, centers)
+                evals.append(result.counters.as_dict()["lloyd"]["dist_evals"])
+            runs[drop] = (
+                centers.tobytes(), phi, evals,
+                [s.map_flops_per_split for s in rt.job_log],
+                rt.simulated_minutes,
+            )
+        warm, cold = runs[False], runs[True]
+        assert warm[0] == cold[0] and warm[1] == cold[1]
+        assert warm[3] == cold[3] and warm[4] == cold[4]
+        n, k = X.shape[0], 5
+        assert cold[2] == [n * k + n] * 4
+        assert warm[2][0] == n * k + n and max(warm[2][1:]) < n * k
 
     def test_bad_granularity(self):
         from repro.exceptions import JobSpecError
