@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg import native as _native
 from repro.linalg import sparse as _sparse
 from repro.linalg.distances import _row_scratch, block_sq_dists, expand_gemm
 from repro.linalg.engine import get_engine
@@ -86,6 +87,10 @@ def center_drift(new_w: np.ndarray, old_w: np.ndarray) -> np.ndarray:
 def _fill_rows(d2, idxs, labels, ub, lb, slack) -> None:
     """Labels and bounds of rows ``idxs`` from their distance rows ``d2``
     (consumed)."""
+    top = _native.top2(d2, slack)
+    if top is not None:
+        labels[idxs], ub[idxs], lb[idxs], _ = top
+        return
     idx = d2.argmin(axis=1)
     at = np.arange(idx.shape[0])
     labels[idxs] = idx
@@ -97,6 +102,21 @@ def _fill_rows(d2, idxs, labels, ub, lb, slack) -> None:
     # second-smallest value, duplicates of the min included).
     d2[at, idx] = np.inf
     lb[idxs] = np.sqrt(np.maximum(d2.min(axis=1) - slack, 0.0))
+
+
+def _fill_gemm(G, xn, c_norms, idxs, labels, ub, lb, slack, unit=None):
+    """:func:`_fill_rows` on the expansion of the GEMM block ``G`` (rows
+    ``idxs``, norms ``xn``; consumed), plus the :func:`_near_ties` flags
+    of those rows when ``unit`` is given — one native pass when the
+    library loaded."""
+    top = _native.top2(G, slack, xn=xn, cn=c_norms, unit=unit)
+    if top is not None:
+        labels[idxs], ub[idxs], lb[idxs], close = top
+        return close
+    d2 = expand_gemm(G, xn, c_norms)
+    close = None if unit is None else _near_ties(d2, xn, c_norms, unit)
+    _fill_rows(d2, idxs, labels, ub, lb, slack)
+    return close
 
 
 def _near_ties(d2, xn, c_norms, unit) -> np.ndarray:
@@ -132,10 +152,15 @@ def assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None) ->
     from the reference pass's GEMM over just the chunks that hold them.
     """
     k = Cw.shape[0]
+    sparse = _sparse.is_sparse(Xw)
     if rows is None:
         def work(sl: slice) -> None:
-            d2 = block_sq_dists(Xw[sl], Cw, x_norms[sl], c_norms)
-            _fill_rows(d2, sl, labels, ub, lb, slack)
+            if sparse:
+                d2 = block_sq_dists(Xw[sl], Cw, x_norms[sl], c_norms)
+                _fill_rows(d2, sl, labels, ub, lb, slack)
+            else:
+                _fill_gemm(Xw[sl] @ Cw.T, x_norms[sl], c_norms, sl,
+                           labels, ub, lb, slack)
 
         get_engine().run_chunks(Xw.shape[0], _row_scratch(k), work)
         return Xw.shape[0] * k
@@ -147,9 +172,14 @@ def assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None) ->
 
     def subset_work(sl: slice) -> None:
         idxs = rows[sl]
-        d2 = block_sq_dists(Xw[idxs], Cw, x_norms[idxs], c_norms)
-        close[sl] = _near_ties(d2, x_norms[idxs], c_norms, unit)
-        _fill_rows(d2, idxs, labels, ub, lb, slack)
+        xn = x_norms[idxs]
+        if sparse:
+            d2 = block_sq_dists(Xw[idxs], Cw, xn, c_norms)
+            close[sl] = _near_ties(d2, xn, c_norms, unit)
+            _fill_rows(d2, idxs, labels, ub, lb, slack)
+        else:
+            close[sl] = _fill_gemm(Xw[idxs] @ Cw.T, xn, c_norms, idxs,
+                                   labels, ub, lb, slack, unit)
 
     get_engine().run_chunks(rows.shape[0], _row_scratch(k), subset_work)
     n_dist = rows.shape[0] * k
@@ -173,7 +203,7 @@ def _reference_rows(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows) -> in
             return
         sub = rows[lo:hi]
         G = (Xw[sl] @ Cw.T)[sub - sl.start]
-        _fill_rows(expand_gemm(G, x_norms[sub], c_norms), sub, labels, ub, lb, slack)
+        _fill_gemm(G, x_norms[sub], c_norms, sub, labels, ub, lb, slack)
         chunk_rows.append(sl.stop - sl.start)
 
     get_engine().run_chunks(Xw.shape[0], _row_scratch(k), work)

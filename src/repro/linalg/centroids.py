@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg import native as _native
 from repro.linalg import sparse as _sparse
 from repro.linalg.engine import get_engine
 
@@ -39,7 +40,10 @@ def cluster_sums(
     One flattened-index bincount per row block (``labels * d + dim`` maps
     every coordinate to a unique bin), which is the fastest pure-numpy
     scatter-add for this shape — a single C-loop over ``n * d`` entries
-    instead of ``d`` passes over ``labels``.  Blocks run through the
+    instead of ``d`` passes over ``labels``.  With the native library
+    loaded the same row-order scatter-add runs without building the
+    index and value arrays (:func:`repro.linalg.native.scatter_add`,
+    bitwise equal).  Blocks run through the
     current :mod:`~repro.linalg.engine` and fold in chunk order over a
     *fixed* block size (see ``_SUMS_CHUNK_BYTES``), so the result is
     independent of both worker count and the engine's tunable budget;
@@ -67,7 +71,11 @@ def cluster_sums(
 
     def work(sl: slice) -> np.ndarray:
         block = X[sl]
-        vals = block if weights is None else block * weights[sl][:, None]
+        w = None if weights is None else weights[sl]
+        partial = _native.scatter_add(block, labels[sl], k, w)
+        if partial is not None:
+            return partial
+        vals = block if w is None else block * w[:, None]
         flat = (labels[sl].astype(np.int64) * d)[:, None] + dim_offsets
         return np.bincount(
             flat.ravel(), weights=np.ascontiguousarray(vals, dtype=np.float64).ravel(),

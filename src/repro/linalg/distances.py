@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg import native as _native
 from repro.linalg import sparse as _sparse
 from repro.linalg.engine import get_engine
 from repro.utils.validation import check_matching_dims
@@ -318,6 +319,8 @@ def update_min_sq_dists_argmin(
     offset: int,
     x_norms_sq: np.ndarray | None = None,
     chunk_bytes: int | None = None,
+    seen: np.ndarray | None = None,
+    stats: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`update_min_sq_dists` but also maintains the argmin.
 
@@ -326,6 +329,16 @@ def update_min_sq_dists_argmin(
     Maintaining the argmin incrementally is what lets the MapReduce
     weighting job (Step 7 of ``k-means||``) run without any distance work
     — each mapper just bin-counts its cached ``nearest`` column.
+
+    ``seen`` — the ``offset`` centers folded before, in global order,
+    with ``current``/``nearest`` holding this function's float64 folds of
+    them — enables triangle pruning (:func:`_pruning`): a row only forms
+    the distances to new centers its cached nearest center cannot rule
+    out.
+    The GEMM still covers every pair, so each distance formed has the
+    dense fold's bits and the result is bitwise the dense fold's.
+    ``stats``, when given, gains ``"dist_evals"``: the point-center
+    distances formed.
 
     Both ``current`` and ``nearest`` are updated in place and returned.
     """
@@ -345,23 +358,93 @@ def update_min_sq_dists_argmin(
     norms = _check_norms(x_norms_sq, X.shape[0])
     k_new = new_centers.shape[0]
     c_norms_sq = row_norms_sq(new_centers)
+    pruned = None
+    if seen is not None:
+        pruned = _pruning(X, new_centers, c_norms_sq, seen, current, nearest,
+                          norms, offset)
+    formed: list[int] = []
 
     def work(sl: slice) -> None:
         block = X[sl]
         xn = row_norms_sq(block) if norms is None else norms[sl]
-        d2 = block_sq_dists(block, new_centers, xn, c_norms_sq)
-        idx = d2.argmin(axis=1)
-        best_new = d2[np.arange(idx.shape[0]), idx]
         # Slices are views: writing through `cur`/`near` updates the
         # caller's arrays directly.
         cur = current[sl]
         near = nearest[sl]
+        G = block @ new_centers.T
+        if pruned is not None:
+            formed.append(pruned(G, xn, cur, near))
+            return
+        formed.append(G.size)
+        if _native.fold_min(G, xn, c_norms_sq, cur, near, offset):
+            return
+        d2 = expand_gemm(G, xn, c_norms_sq)
+        idx = d2.argmin(axis=1)
+        best_new = d2[np.arange(idx.shape[0]), idx]
         improved = best_new < cur
         cur[improved] = best_new[improved]
         near[improved] = idx[improved] + offset
 
     get_engine().run_chunks(X.shape[0], _row_scratch(k_new), work, chunk_bytes=chunk_bytes)
+    if stats is not None:
+        stats["dist_evals"] = stats.get("dist_evals", 0) + sum(formed)
     return current, nearest
+
+
+#: Relative pad of the pruning test against the rounding of the test's
+#: own few operations (each within 1.2e-16 of exact).
+_PRUNE_HAIR = 1e-12
+
+
+def _pruning(X, C, c_norms, seen, current, nearest, norms, offset):
+    """The triangle-pruned chunk fold for one call, or ``None`` when the
+    dense fold should run.
+
+    Row ``i``'s stored ``current[i]`` is a computed distance to center
+    ``a = nearest[i]`` (``seen[a]``), so ``d(x, a) <= sqrt(current[i] +
+    slack)``.  A new center ``c`` with ``d(a, c) >= 2 sqrt(current[i] +
+    slack)`` then has ``d(x, c)^2 >= current[i] + slack`` by the triangle
+    inequality, and any evaluation of its expansion is ``>= current[i]``:
+    it can neither improve the row nor be its first minimum.  In squared
+    form the test is ``lower(a, c) >= 4 (current[i] + slack)``, with
+    ``lower`` the center-center expansion padded down by one slack and
+    both sides padded by :data:`_PRUNE_HAIR`; ``slack`` is taken over the
+    split's and all centers' norms, so it covers every distance involved.
+
+    Dense instead when the kernel cannot apply (no library, not float64,
+    ``seen`` not the ``offset`` earlier centers, a row without a nearest
+    center, non-finite values) or when the per-center candidate lists
+    cover more than half the pairs, where the dense pass is as fast.
+    """
+    n, d = X.shape
+    k = C.shape[0]
+    if (
+        offset == 0 or n == 0 or norms is None or _native.lib() is None
+        or X.dtype != np.float64 or seen.shape != (offset, d)
+        or not all(a.dtype == np.float64 and a.flags.c_contiguous
+                   for a in (current, norms, seen))
+        or nearest.dtype != np.int64 or not nearest.flags.c_contiguous
+    ):
+        return None
+    if nearest.min() < 0 or nearest.max() >= offset or not np.isfinite(current).all():
+        return None
+    seen_norms = row_norms_sq(seen)
+    top = max(float(norms.max()), float(seen_norms.max()), float(c_norms.max()))
+    if not top < 1e300:  # also False for NaN
+        return None
+    slack = _sparse.sparse_d2_slack(top, top, d, np.float64)
+    lower = seen_norms[:, None] - 2.0 * (seen @ C.T) + c_norms
+    lower -= slack
+    lower *= 1.0 - _PRUNE_HAIR
+    tables, listed = _native.prune_prepare(current, nearest, lower, slack, _PRUNE_HAIR)
+    if 2 * listed > n * k:
+        return None
+
+    def fold(G, xn, cur, near) -> int:
+        return _native.fold_pruned(G, xn, c_norms, cur, near, offset, tables,
+                                   slack, _PRUNE_HAIR)
+
+    return fold
 
 
 def assign_labels(

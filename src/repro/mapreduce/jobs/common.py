@@ -23,6 +23,9 @@ FLOPS_PER_DIST = 3.0
 STATE_D2 = "d2"
 #: Key under which the cached nearest-candidate index lives.
 STATE_NEAREST = "nearest"
+#: Key caching the split's ``||x||^2`` rows, shared by the cost and
+#: Lloyd mappers.
+STATE_NORMS = "lloyd-x-norms-sq"
 
 
 class ScalarSumReducer(Reducer):

@@ -11,6 +11,12 @@ The mapper also maintains the *argmin* (index of the nearest candidate)
 alongside the minimum. That costs nothing extra during the fold and makes
 Step 7 (candidate weighting) a zero-distance-work bincount pass — see
 :class:`repro.mapreduce.jobs.weight_job.CachedWeightMapper`.
+
+Dense float64 splits also keep their ``||x||^2`` rows (shared with the
+Lloyd mapper) and every candidate folded so far.  With that table a
+round forms only the distances the cached nearest candidate cannot rule
+out by the triangle inequality (see :func:`~repro.linalg.distances.
+update_min_sq_dists_argmin`); the profile stays bitwise the dense one.
 """
 
 from __future__ import annotations
@@ -21,19 +27,24 @@ from typing import Iterable
 import numpy as np
 
 from repro.exceptions import JobSpecError
-from repro.linalg.distances import update_min_sq_dists_argmin
+from repro.linalg import sparse as _sparse
+from repro.linalg.distances import row_norms_sq, update_min_sq_dists_argmin
 from repro.mapreduce.job import BlockMapper, KeyValue, MapReduceJob
 from repro.mapreduce.jobs.common import (
     FLOPS_PER_DIST,
     STATE_D2,
     STATE_NEAREST,
+    STATE_NORMS,
     ScalarSumReducer,
 )
 
-__all__ = ["UpdateCostMapper", "make_cost_job", "PHI_KEY"]
+__all__ = ["UpdateCostMapper", "make_cost_job", "PHI_KEY", "STATE_SEEN"]
 
 #: Output key of the summed potential.
 PHI_KEY = "phi"
+#: Split-state key of the candidates folded so far, in global order
+#: (dense float64 splits).
+STATE_SEEN = "cost-seen"
 
 
 class UpdateCostMapper(BlockMapper):
@@ -50,6 +61,11 @@ class UpdateCostMapper(BlockMapper):
     reset:
         Discard any cached profile and recompute from scratch (used when a
         driver re-runs a pipeline on the same runtime).
+
+    ``work`` charges the nominal ``n * c * d`` whatever the pruning
+    skipped, so the simulated clock is unchanged; the ``("cost",
+    "dist_evals")`` counter reports the point-candidate distances
+    actually formed.
     """
 
     def __init__(
@@ -84,21 +100,48 @@ class UpdateCostMapper(BlockMapper):
             )
 
     def map_block(self, block: np.ndarray) -> Iterable[KeyValue]:
-        d2 = None if self.reset else self.ctx.state.get(STATE_D2)
-        nearest = None if self.reset else self.ctx.state.get(STATE_NEAREST)
-        if d2 is None or nearest is None:
+        state = self.ctx.state
+        d2 = None if self.reset else state.get(STATE_D2)
+        nearest = None if self.reset else state.get(STATE_NEAREST)
+        fresh = d2 is None or nearest is None
+        if fresh:
             d2 = np.full(block.shape[0], np.inf)
             nearest = np.full(block.shape[0], -1, dtype=np.int64)
+        # Norms and the candidate table serve dense float64 splits, the
+        # only ones whose working arrays are the split's own rows.
+        dense = not _sparse.is_sparse(block) and block.dtype == np.float64
+        norms = seen = None
+        if dense:
+            norms = state.get(STATE_NORMS)
+            if norms is None or norms.shape != (block.shape[0],):
+                norms = row_norms_sq(block)
+                state[STATE_NORMS] = norms
+            seen = None if self.reset else state.get(STATE_SEEN)
+            if seen is not None and seen.shape[0] != self.offset:
+                seen = None
+        stats = {"dist_evals": 0}
         if self.new_centers.shape[0]:
             d2, nearest = update_min_sq_dists_argmin(
-                block, self.new_centers, d2, nearest, offset=self.offset
+                block, self.new_centers, d2, nearest, offset=self.offset,
+                x_norms_sq=norms, seen=seen, stats=stats,
             )
-        self.ctx.state[STATE_D2] = d2
-        self.ctx.state[STATE_NEAREST] = nearest
+        state[STATE_D2] = d2
+        state[STATE_NEAREST] = nearest
+        # The table must list every candidate a cached nearest can name:
+        # start it with a fresh profile, extend it while it is whole.
+        if dense and (seen is not None or (fresh and self.offset == 0)):
+            # A copy: the broadcast may be a view of a released segment.
+            state[STATE_SEEN] = (
+                self.new_centers.copy() if seen is None
+                else np.concatenate([seen, self.new_centers])
+            )
+        else:
+            state.pop(STATE_SEEN, None)
         self.work += (
             block.shape[0] * self.new_centers.shape[0] * block.shape[1] * FLOPS_PER_DIST
         )
         self.ctx.counters.increment("cost", "points", block.shape[0])
+        self.ctx.counters.increment("cost", "dist_evals", stats["dist_evals"])
         yield PHI_KEY, float(d2.sum())
 
 

@@ -44,7 +44,7 @@ from repro.linalg.bounds import (
 from repro.linalg.centroids import cluster_sizes, cluster_sums
 from repro.linalg.distances import _as_working, assign_labels, row_norms_sq
 from repro.mapreduce.job import BlockMapper, KeyValue, MapReduceJob, Reducer
-from repro.mapreduce.jobs.common import FLOPS_PER_DIST, ScalarSumReducer
+from repro.mapreduce.jobs.common import FLOPS_PER_DIST, STATE_NORMS, ScalarSumReducer
 
 __all__ = [
     "LloydMapper",
@@ -59,8 +59,6 @@ __all__ = [
     "STATE_CENTERS",
 ]
 
-#: Split-state key caching the split's ``||x||^2`` rows across jobs.
-STATE_NORMS = "lloyd-x-norms-sq"
 #: Split-state keys of the Hamerly bound state (dense splits): per-row
 #: label, upper bound and lower bound, and the centers they refer to.
 STATE_LABELS = "lloyd-labels"

@@ -189,31 +189,32 @@ def mr_lloyd(
     *,
     max_iter: int = 20,
     tol: float = 0.0,
-    _prefetched=None,
-) -> tuple[FloatArray, float, int]:
+    return_seed_cost: bool = False,
+) -> tuple[FloatArray, float, int] | tuple[FloatArray, float, int, float]:
     """Lloyd's iteration as repeated MapReduce jobs.
 
     Stops when the maximum squared center shift is ``<= tol`` or after
     ``max_iter`` jobs (the paper bounds the parallel ``Random`` baseline
-    at 20 iterations). Returns ``(centers, final_phi, n_iter)``.
+    at 20 iterations). Returns ``(centers, final_phi, n_iter)``, plus,
+    with ``return_seed_cost``, the potential of the starting ``centers``:
+    round 1's phi, which every mapper sums from its distances to the
+    assigned start center (``inf`` when ``max_iter`` is 0).
 
     On an async-scheduler runtime the iterations *pipeline*: round
     ``i``'s new centers resolve at the end of its reduce phase, so round
     ``i+1``'s broadcast/maps run while round ``i`` is still finalizing.
-    ``_prefetched`` (private) lets a caller hand in an already-submitted
-    future for the first round's job.
     """
     centers = np.array(centers, dtype=np.float64, copy=True)
-    phi = float("inf")
+    phi = seed_phi = float("inf")
     n_iter = 0
     if getattr(runtime, "async_scheduler", False) and max_iter > 0:
-        fut = _prefetched
-        if fut is None:
-            fut = runtime.submit_job(make_lloyd_job(centers))
+        fut = runtime.submit_job(make_lloyd_job(centers))
         while True:
             # output() resolves at the reduce phase, before finalize.
             new_centers, phi = collect_new_centers(fut.output(), centers)
             n_iter += 1
+            if n_iter == 1:
+                seed_phi = phi
             shift_sq = float(
                 np.max(
                     np.einsum(
@@ -229,17 +230,21 @@ def mr_lloyd(
             # round i+1's publish/maps then overlap round i's finalize.
             fut = runtime.submit_job(make_lloyd_job(centers))
         runtime.drain()
-        return centers, phi, n_iter
-    for _ in range(max_iter):
-        result = runtime.run_job(make_lloyd_job(centers))
-        new_centers, phi = collect_new_centers(result.output, centers)
-        n_iter += 1
-        shift_sq = float(
-            np.max(np.einsum("ij,ij->i", new_centers - centers, new_centers - centers))
-        )
-        centers = new_centers
-        if shift_sq <= tol:
-            break
+    else:
+        for _ in range(max_iter):
+            result = runtime.run_job(make_lloyd_job(centers))
+            new_centers, phi = collect_new_centers(result.output, centers)
+            n_iter += 1
+            if n_iter == 1:
+                seed_phi = phi
+            shift_sq = float(
+                np.max(np.einsum("ij,ij->i", new_centers - centers, new_centers - centers))
+            )
+            centers = new_centers
+            if shift_sq <= tol:
+                break
+    if return_seed_cost:
+        return centers, phi, n_iter, seed_phi
     return centers, phi, n_iter
 
 
@@ -276,15 +281,18 @@ def mr_scalable_kmeans(
     cost aggregation runs concurrently with round ``T+1``'s sampler maps
     (the sampler needs only ψ_T, which resolves at the cost job's single
     reduce key), the weight maps overlap the final fold's trailing work,
-    Lloyd round 1's maps overlap the driver's seed-cost scan, and Lloyd
-    iterations pipeline — with centers, costs, counters, and simulated
-    minutes bit-identical to the sequential schedule.
+    and Lloyd iterations pipeline — with centers, costs, counters, and
+    simulated minutes bit-identical to the sequential schedule.
+
+    ``seed_cost`` is Lloyd round 1's potential (the seed centers' cost,
+    summed by the mappers); only with ``lloyd_max_iter=0`` does the
+    driver scan the data for it.
     """
     source = as_split_source(X)
     d = source.shape[1]
-    # Driver-side sections (top-up sampling, seed-cost scan) run over this
-    # handle; for a file source it is a memmap and the chunked kernels
-    # stream it rather than materializing.
+    # Driver-side sections (top-up sampling, the seed-cost scan without
+    # Lloyd) run over this handle; for a file source it is a memmap and
+    # the chunked kernels stream it rather than materializing.
     X_arr = source.as_array()
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
@@ -379,22 +387,15 @@ def mr_scalable_kmeans(
         runtime.charge_sequential(recluster_flops, label="recluster candidates")
         recluster_minutes = runtime.simulated_minutes - init_minutes - weight_minutes
 
-        prefetched = None
-        if async_mode and lloyd_max_iter > 0:
-            # Submit Lloyd round 1 *before* the driver-side seed-cost
-            # scan below, so its publish and maps overlap the scan.
-            prefetched = runtime.submit_job(
-                make_lloyd_job(np.array(seed_centers, dtype=np.float64, copy=True))
-            )
-
-        seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
-
-        # Lloyd refinement, one MR job per round, to convergence.
+        # Lloyd refinement, one MR job per round, to convergence; round 1
+        # sums the seed centers' potential.
         before = runtime.simulated_minutes
-        centers, final_cost, n_iter = mr_lloyd(
-            runtime, seed_centers, max_iter=lloyd_max_iter, _prefetched=prefetched
+        centers, final_cost, n_iter, seed_cost = mr_lloyd(
+            runtime, seed_centers, max_iter=lloyd_max_iter, return_seed_cost=True
         )
         lloyd_minutes = runtime.simulated_minutes - before
+        if n_iter == 0:
+            seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
 
         if async_mode:
             # Reconstruct the phase breakdown from job-log prefixes: the
@@ -484,10 +485,11 @@ def mr_random_kmeans(
                 f"uniform sampling returned {seed_centers.shape[0]} < k={k} rows"
             )
         init_minutes = runtime.simulated_minutes
-        seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
-        centers, final_cost, n_iter = mr_lloyd(
-            runtime, seed_centers, max_iter=lloyd_max_iter
+        centers, final_cost, n_iter, seed_cost = mr_lloyd(
+            runtime, seed_centers, max_iter=lloyd_max_iter, return_seed_cost=True
         )
+        if n_iter == 0:
+            seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
         return MRKMeansReport(
             method="random",
             centers=centers,

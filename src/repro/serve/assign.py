@@ -15,10 +15,14 @@ while staying **bit-identical** to the naive argmin:
    nearest under round-off padding — via the in-group gap, the
    cross-group triangle bound, and Hamerly's center-separation test
    (``d(x, c) < s/2``) reused from :mod:`repro.linalg.bounds`;
-4. every point the bounds cannot decide falls through to a full
-   ``k``-wide row computed with the *same arithmetic* as the reference
-   kernel (:func:`~repro.linalg.distances.block_sq_dists` on a row
-   subset), so its label — ties and all — matches the reference.
+4. every point the bounds cannot decide falls through to
+   :func:`~repro.linalg.bounds.assign_bounds` on those rows: a full
+   ``k``-wide row over the subset, and — where round-off could decide
+   the argmin — the reference pass's own chunk GEMM, so its label, ties
+   and all, matches the reference.  (A GEMM over a row subset is not
+   bitwise the full-block GEMM, so the subset row alone cannot promise
+   that.)  CSR rows fall through to the sparse kernel on the subset,
+   which is bitwise the reference's per row.
 
 Accepted points are strict unique minima (no tie possible inside the
 padding), so the combined label vector equals ``assign_labels(X, C)``
@@ -34,7 +38,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
-from repro.linalg.bounds import expansion_slack
+from repro.linalg.bounds import assign_bounds, d2_to_assigned, expansion_slack
 from repro.linalg.distances import (
     _as_working,
     _row_scratch,
@@ -82,7 +86,7 @@ def assign_serve(
     including lowest-index tie-breaking — whether or not pruning is on,
     for any micro-batch split of ``X`` and any engine worker count.
     ``sq_dists`` (when requested) agrees with the naive kernel to
-    round-off for pruned points and exactly for fallback points.
+    round-off.
 
     ``X`` may be a scipy CSR matrix; the bound arithmetic stays dense
     (norms, rep distances) while every distance block runs through the
@@ -142,6 +146,7 @@ def assign_serve(
     # the reference kernel's.
     slack = expansion_slack(x_norms, index.c_norms, Xw.shape[1], Xw.dtype)
     k, g = index.k, index.n_groups
+    sparse = _sparse.is_sparse(Xw)
 
     def work(sl: slice) -> None:
         block = Xw[sl]
@@ -194,18 +199,15 @@ def assign_serve(
         gap = s_lo - d_up
         ok |= (gap > 0.0) & (4.0 * s_lo * gap > 2.0 * slack)
 
-        labels_blk = cand
-        d2_blk = cand_d2
         und = np.flatnonzero(~ok)
-        if und.size:
-            # (4) undecided rows buy the reference row — same expansion,
-            # same clamp, same argmin tie-break as assign_labels.
+        if sparse and und.size:
+            # (4, CSR) the sparse kernel's row is the reference's row.
             d2f = block_sq_dists(block[und], index.Cw, xn[und], index.c_norms)
             idx = d2f.argmin(axis=1)
-            labels_blk[und] = idx
-            d2_blk[und] = np.take_along_axis(d2f, idx[:, None], axis=1).ravel()
-        labels[sl] = labels_blk
-        best_d2[sl] = d2_blk
+            cand[und] = idx
+            cand_d2[und] = np.take_along_axis(d2f, idx[:, None], axis=1).ravel()
+        labels[sl] = cand
+        best_d2[sl] = cand_d2
         decided[sl] = ok
 
     # Scratch per row: the (g,) rep block, the (<=max group) group block,
@@ -213,9 +215,20 @@ def assign_serve(
     get_engine().run_chunks(n, _row_scratch(k + g) * 2, work)
 
     n_pruned = int(decided.sum())
-    n_dist_evals = int(
-        n * g + index.group_sizes[best_group].sum() + (n - n_pruned) * k
-    )
+    und = np.flatnonzero(~decided)
+    n_fallback = und.size * k
+    if und.size and not sparse:
+        # (4) undecided rows: exact labels from the bounded assignment.
+        ub = np.empty(n, dtype=np.float64)
+        lb = np.empty(n, dtype=np.float64)
+        n_fallback = assign_bounds(
+            Xw, index.Cw, x_norms, index.c_norms, labels, ub, lb, slack, rows=und
+        )
+        if return_sq_dists:
+            best_d2[und] = d2_to_assigned(
+                Xw[und], index.Cw, labels[und], x_norms[und], index.c_norms
+            )
+    n_dist_evals = int(n * g + index.group_sizes[best_group].sum() + n_fallback)
     return AssignResult(
         labels=labels,
         sq_dists=best_d2 if return_sq_dists else None,

@@ -11,11 +11,17 @@ import pytest
 from repro.core.costs import potential
 from repro.exceptions import MapReduceError
 from repro.linalg.centroids import cluster_sizes
-from repro.linalg.distances import assign_labels
-from repro.mapreduce.jobs.cost_job import PHI_KEY, make_cost_job
+from repro.linalg import native
+from repro.linalg.distances import assign_labels, row_norms_sq
+from repro.mapreduce.jobs.cost_job import (
+    PHI_KEY,
+    STATE_SEEN,
+    UpdateCostMapper,
+    make_cost_job,
+)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import SplitContext
-from repro.mapreduce.jobs.common import FLOPS_PER_DIST
+from repro.mapreduce.jobs.common import FLOPS_PER_DIST, STATE_NORMS
 from repro.mapreduce.jobs.lloyd_job import (
     PHI_KEY as LLOYD_PHI,
     STATE_CENTERS,
@@ -80,6 +86,40 @@ class TestCostJob:
             [state["nearest"] for state in runtime.split_states]
         )
         np.testing.assert_array_equal(cached, assign_labels(X, X[:6]))
+
+    def test_dist_evals_counter_norms_cache_and_nominal_work(self, blobs):
+        """``work`` charges n*c*d whatever the pruning skips, so the
+        simulated clock is unchanged; the counter reports the distances
+        formed, and the norms land under the Lloyd mapper's key."""
+        X, true_centers = blobs
+        n, d = X.shape
+        firsts = X[[0, 70, 140, 200, 260]]
+        rounds = [(X[:1], 0), (firsts, 1), (true_centers, 6)]
+
+        def fold(state, new, offset, keep_table):
+            if not keep_table:
+                state.pop(STATE_SEEN, None)
+            counters = Counters()
+            mapper = UpdateCostMapper(new, offset=offset)
+            mapper.setup(SplitContext(0, 1, np.random.default_rng(0), state, counters))
+            dict(mapper.map_block(X))
+            return mapper.work, counters.as_dict()["cost"]["dist_evals"]
+
+        pruned, dense = {}, {}
+        got = [fold(pruned, new, offset, True) for new, offset in rounds]
+        want = [fold(dense, new, offset, False) for new, offset in rounds]
+        nominal = [(n * c.shape[0] * d * FLOPS_PER_DIST, n * c.shape[0])
+                   for c, _ in rounds]
+        assert want == nominal
+        assert [w for w, _ in got] == [w for w, _ in nominal]
+        assert got[:2] == nominal[:2]
+        # Five tight blobs with one candidate near each: the third round's
+        # triangle bound rules most pairs out.
+        if native.lib() is not None:
+            assert got[2][1] < n * 5 / 2
+        np.testing.assert_array_equal(pruned[STATE_NORMS], row_norms_sq(X))
+        assert pruned["d2"].tobytes() == dense["d2"].tobytes()
+        assert pruned["nearest"].tobytes() == dense["nearest"].tobytes()
 
 
 class TestSampleJob:

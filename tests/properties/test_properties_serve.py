@@ -15,6 +15,7 @@ Two contracts under arbitrary adversarial instances:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,28 @@ class TestAssignIdentity:
         np.testing.assert_allclose(
             result.sq_dists, d2, rtol=1e-9, atol=1e-9 * scale
         )
+
+
+class TestNearTieIdentity:
+    """A row at the exact midpoint of two centers, among easy rows.
+
+    Its two distances tie up to round-off, so its label is whatever the
+    reference kernel's own GEMM says — a GEMM over a row subset rounds
+    differently and may pick the other center.  The served label must
+    still be the reference's.
+    """
+
+    @pytest.mark.parametrize("d", [15, 42, 58])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_midpoint_row_among_easy_rows(self, d, offset):
+        for seed in range(12):
+            gen = np.random.default_rng([seed, d, int(offset)])
+            C = gen.normal(size=(64, d)) * 3.0 + offset
+            X = C[gen.integers(0, 64, size=64)] + gen.normal(size=(64, d)) * 0.05
+            a, b = gen.choice(64, 2, replace=False)
+            X[gen.integers(64)] = (C[a] + C[b]) / 2.0
+            got = assign_serve(X, ServedModel.freeze(1, C)).labels
+            np.testing.assert_array_equal(got, naive_labels(X, C), err_msg=str(seed))
 
 
 class TestRefreshIdentity:
