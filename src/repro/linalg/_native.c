@@ -199,11 +199,12 @@ i64 fold_pruned_f64(const double *G, i64 m, i64 k, const double *xn,
  *
  *   labels[i] = argmin;  ub[i] = sqrt(d2[argmin] + slack)
  *   lb[i] = sqrt(max(min_{j != argmin} d2[j] - slack, 0))   (inf if k < 2)
+ *   best[i] = d2[argmin]
  *   close[i] = any_j (gap_j <= u2 * ((2 xn[i] + cn[argmin]) + cn[j]))
  *
  * with gap_j = d2[j] - d2[argmin] and gap_argmin = inf, all in the
- * expansion dtype; ``ub`` and ``lb`` are the two rows of ``bounds``.
- * Returns -1 if the row buffer cannot be allocated, else 0.
+ * expansion dtype; ``ub``, ``lb`` and ``best`` are the rows of
+ * ``bounds``.  Returns -1 if the row buffer cannot be allocated, else 0.
  */
 #define DEF_TOP2(NAME, GT, ET, SQRT)                                        \
     int NAME(const GT *G, i64 m, i64 k, const ET *xn, const ET *cn,         \
@@ -213,7 +214,7 @@ i64 fold_pruned_f64(const double *G, i64 m, i64 k, const double *xn,
         ET *buf = malloc((size_t)(k > 0 ? k : 1) * sizeof(ET));             \
         if (!buf)                                                           \
             return -1;                                                      \
-        double *ub = bounds, *lb = bounds + m;                              \
+        double *ub = bounds, *lb = bounds + m, *bv = bounds + 2 * m;        \
         const ET s = (ET)slack;                                             \
         const ET u = (ET)u2;                                                \
         for (i64 i = 0; i < m; i++) {                                       \
@@ -239,6 +240,7 @@ i64 fold_pruned_f64(const double *G, i64 m, i64 k, const double *xn,
                 }                                                           \
             }                                                               \
             labels[i] = bi;                                                 \
+            bv[i] = (double)best;                                           \
             ub[i] = (double)SQRT(best + s);                                 \
             if (k < 2) {                                                    \
                 lb[i] = INFINITY;                                           \

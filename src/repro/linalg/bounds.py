@@ -89,7 +89,7 @@ def _fill_rows(d2, idxs, labels, ub, lb, slack) -> None:
     (consumed)."""
     top = _native.top2(d2, slack)
     if top is not None:
-        labels[idxs], ub[idxs], lb[idxs], _ = top
+        labels[idxs], ub[idxs], lb[idxs], _, _ = top
         return
     idx = d2.argmin(axis=1)
     at = np.arange(idx.shape[0])
@@ -111,7 +111,7 @@ def _fill_gemm(G, xn, c_norms, idxs, labels, ub, lb, slack, unit=None):
     library loaded."""
     top = _native.top2(G, slack, xn=xn, cn=c_norms, unit=unit)
     if top is not None:
-        labels[idxs], ub[idxs], lb[idxs], close = top
+        labels[idxs], ub[idxs], lb[idxs], _, close = top
         return close
     d2 = expand_gemm(G, xn, c_norms)
     close = None if unit is None else _near_ties(d2, xn, c_norms, unit)

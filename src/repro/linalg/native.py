@@ -11,7 +11,8 @@ does each reduction in one read of the block:
   triangle bound keeps (see :func:`repro.linalg.distances.
   update_min_sq_dists_argmin`);
 * :func:`top2` — winner, runner-up and near-tie flag for the Hamerly
-  bound fills in :mod:`repro.linalg.bounds`;
+  bound fills in :mod:`repro.linalg.bounds` and the best-group pass of
+  :mod:`repro.serve.assign`;
 * :func:`scatter_add` — the row-order scatter-add inside
   :func:`repro.linalg.centroids.cluster_sums`.
 
@@ -231,8 +232,9 @@ def fold_pruned(G, xn, cn, cur, near, offset, tables, slack, hair) -> int:
 
 
 def top2(G, slack, *, xn=None, cn=None, unit=None):
-    """``(labels, ub, lb, close)`` of a block, or ``None`` when the kernel
-    cannot run.
+    """``(labels, ub, lb, best, close)`` of a block — the winner, the two
+    bounds of ``bounds._fill_rows``, the winner's distance — or ``None``
+    when the kernel cannot run.
 
     With ``xn``/``cn`` given ``G`` is a raw GEMM block expanded here as
     ``expand_gemm`` would; otherwise it is an expanded distance block.
@@ -259,7 +261,7 @@ def top2(G, slack, *, xn=None, cn=None, unit=None):
         tag = f"{_TAG[e]}_{_TAG[e]}"
     m, k = G.shape
     labels = np.empty(m, dtype=np.int64)
-    bounds = np.empty((2, m))
+    bounds = np.empty((3, m))
     close = None if unit is None else np.empty(m, dtype=bool)
     if getattr(dll, f"top2_{tag}")(
         _ptr(G), m, k,
@@ -268,7 +270,7 @@ def top2(G, slack, *, xn=None, cn=None, unit=None):
         _ptr(labels), _ptr(bounds), None if close is None else _ptr(close),
     ):
         raise MemoryError("native top-2 pass: no row buffer")
-    return labels, bounds[0], bounds[1], close
+    return labels, bounds[0], bounds[1], bounds[2], close
 
 
 def scatter_add(block, labels, k, weights=None) -> np.ndarray | None:

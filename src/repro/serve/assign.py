@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg import native as _native
 from repro.linalg import sparse as _sparse
 from repro.linalg.bounds import assign_bounds, d2_to_assigned, expansion_slack
 from repro.linalg.distances import (
@@ -169,6 +170,17 @@ def assign_serve(
             if rows.size == 0:
                 continue
             lo, hi = index.starts[gi], index.starts[gi + 1]
+            if not sparse:
+                # One native pass: winner, its distance, and the padded
+                # runner-up bound, bitwise the numpy lines below.
+                top = _native.top2(
+                    block[rows] @ index.Cg[lo:hi].T, 2.0 * slack,
+                    xn=xn[rows], cn=index.cg_norms[lo:hi],
+                )
+                if top is not None:
+                    loc, _, lb_in[rows], cand_d2[rows], _ = top
+                    cand[rows] = index.perm[lo:hi][loc]
+                    continue
             d2g = block_sq_dists(
                 block[rows], index.Cg[lo:hi], xn[rows], index.cg_norms[lo:hi]
             )

@@ -376,7 +376,7 @@ class TestNativeTop2:
 @needs_native
 class TestNativeClusterSums:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("d", [1, 15, 42, 58])
+    @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("weights", [None, np.float32, np.float64, np.int64])
     def test_matches_numpy(self, monkeypatch, dtype, d, k, weights):
