@@ -372,6 +372,28 @@ class TestNativeTop2:
         B, C, xn = special_operands(np.float64, 0, 15, 50, "plain")
         assert_same(*both_paths(monkeypatch, lambda: fill_bounds(B, C, xn)))
 
+    @pytest.mark.parametrize("dtype, offset", [
+        (np.float32, 0.0), (np.float64, 0.0), (np.float64, 1e6),
+    ])
+    def test_serving_group_pass(self, monkeypatch, dtype, offset):
+        # Serving's best-group evaluation: winner, its distance and the
+        # runner-up bound feed the accept test and the served distances.
+        from repro.serve import ServedModel, assign_serve
+
+        gen = np.random.default_rng([11, int(offset)])
+        C = gen.normal(size=(128, 42)) * 3.0 + offset
+        X = C[gen.integers(0, 128, size=300)] + gen.normal(size=(300, 42)) * 0.5
+        X, C = X.astype(dtype), C.astype(dtype)
+        model = ServedModel.freeze(1, C)
+
+        def serve():
+            result = assign_serve(X, model, return_sq_dists=True)
+            return result.labels, result.sq_dists, np.array(result.n_pruned)
+
+        got, want = both_paths(monkeypatch, serve)
+        assert_same(got, want)
+        assert want[2] > 0  # the group pass ran and decided rows
+
 
 @needs_native
 class TestNativeClusterSums:
