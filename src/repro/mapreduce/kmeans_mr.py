@@ -285,14 +285,14 @@ def mr_scalable_kmeans(
     simulated minutes bit-identical to the sequential schedule.
 
     ``seed_cost`` is Lloyd round 1's potential (the seed centers' cost,
-    summed by the mappers); only with ``lloyd_max_iter=0`` does the
-    driver scan the data for it.
+    summed by the mappers); only with ``lloyd_max_iter=0`` is the data
+    scanned for it separately.
     """
     source = as_split_source(X)
     d = source.shape[1]
-    # Driver-side sections (top-up sampling, the seed-cost scan without
-    # Lloyd) run over this handle; for a file source it is a memmap and
-    # the chunked kernels stream it rather than materializing.
+    # The steps outside the MR jobs (top-up sampling, the seed-cost scan
+    # without Lloyd) run over this handle; for a file source it is a
+    # memmap and the chunked kernels stream it rather than materializing.
     X_arr = source.as_array()
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
