@@ -174,10 +174,14 @@ def _as(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 def _expansion(G: np.ndarray, xn: np.ndarray, cn: np.ndarray):
     """``(dtype tag, xn, cn)`` for expanding ``G`` as ``expand_gemm``
-    would, or ``None`` for a combination the kernels do not cover."""
+    would, or ``None`` for a combination the kernels do not cover (or
+    shapes the C code could read past)."""
     g = G.dtype
     e = g if xn.dtype == g and cn.dtype == g else np.result_type(G, xn, cn)
-    if (g, e) not in _PAIRS or not G.flags.c_contiguous:
+    if (
+        (g, e) not in _PAIRS or not G.flags.c_contiguous
+        or xn.shape != G.shape[:1] or cn.shape != G.shape[1:]
+    ):
         return None
     return f"{_TAG[g]}_{_TAG[e]}", _as(xn, e), _as(cn, e)
 
@@ -191,6 +195,8 @@ def fold_min(G, xn, cn, cur, near, offset) -> bool:
         return False
     spec = _expansion(G, xn, cn)
     if spec is None or not (_is(cur, _F64) and _is(near, _I64)):
+        return False
+    if cur.shape != xn.shape or near.shape != xn.shape:
         return False
     tag, xn, cn = spec
     getattr(dll, f"fold_min_{tag}")(
@@ -280,7 +286,9 @@ def scatter_add(block, labels, k, weights=None) -> np.ndarray | None:
     if dll is None or block.ndim != 2:
         return None
     p = block.dtype if weights is None else np.result_type(block, weights)
-    if (block.dtype, p) not in _PAIRS:
+    if (block.dtype, p) not in _PAIRS or labels.shape != block.shape[:1] or (
+        weights is not None and weights.shape != block.shape[:1]
+    ):
         return None
     block = np.ascontiguousarray(block)
     labels = np.ascontiguousarray(labels, dtype=np.int64)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.linalg import native
+from repro.linalg.centroids import cluster_sums
 from repro.linalg.distances import update_min_sq_dists_argmin
 
 HAVE_CC = shutil.which("cc") is not None
@@ -67,3 +68,19 @@ def test_no_compiler_leaves_the_numpy_path(monkeypatch):
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
     update_min_sq_dists_argmin(X, X, cur[:2], near[:2], offset=0)
     np.testing.assert_array_equal(near[:2], [0, 1])
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_wrappers_decline_shapes_the_c_code_could_read_past():
+    G = np.ones((3, 2))
+    cur, near = np.full(3, np.inf), np.full(3, -1, dtype=np.int64)
+    assert not native.fold_min(G, np.ones(2), np.ones(2), cur, near, 0)
+    assert not native.fold_min(G, np.ones(3), np.ones(3), cur, near, 0)
+    assert not native.fold_min(G, np.ones(3), np.ones(2), cur[:2], near[:2], 0)
+    assert native.top2(G, 0.0, xn=np.ones(4), cn=np.ones(2)) is None
+    labels = np.zeros(3, dtype=np.int64)
+    assert native.scatter_add(G, labels[:2], 1) is None
+    assert native.scatter_add(G, labels, 1, np.ones(2)) is None
+    assert native.scatter_add(G, labels, 1, np.ones(3)) is not None
+    with pytest.raises(ValueError):  # the numpy path's broadcast error
+        cluster_sums(G, labels, 1, weights=np.ones(2))
